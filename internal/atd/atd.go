@@ -153,6 +153,17 @@ func (a *ATD) Fork() *ATD {
 	return &c
 }
 
+// Freeze makes the ATD an immutable snapshot that any number of
+// goroutines may Fork concurrently: Fork on a frozen ATD only reads it.
+// A full-stack ATD is never written by Fork (ForkCOW only reads the
+// stack it shares), so only a copy-on-write fork has anything to mark.
+// The ATD must not observe further accesses.
+func (a *ATD) Freeze() {
+	if a.cow != nil {
+		a.cow.Freeze()
+	}
+}
+
 // MaterializedSets returns how many tag sets this fork has privately
 // copied, or -1 when the ATD is not a fork. It is the COW store's work
 // measure, exposed for tests and diagnostics.

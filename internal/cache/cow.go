@@ -37,8 +37,9 @@ type COWStack struct {
 	tags  []uint64
 	valid []bool
 
-	// frozen marks a fork that has children; its state is immutable and
-	// Access panics. Forks are frozen by Fork, never unfrozen.
+	// frozen marks a fork that has (or may get) children; its state is
+	// immutable and Access panics. Forks are frozen by Freeze or by
+	// their first Fork, never unfrozen.
 	frozen bool
 }
 
@@ -69,12 +70,20 @@ func (s *LRUStack) ForkCOW() *COWStack {
 // sets returns the number of sets the stack tracks.
 func (s *LRUStack) sets() int { return int(s.setMask) + 1 }
 
-// Fork freezes s and returns a child fork: the child shares every set
-// with s (and s's ancestors) until it touches it. Freezing is what makes
-// prefix-sharing replays safe — a snapshot with descendants can never
-// drift under them.
+// Freeze makes s an immutable snapshot: Access panics from now on. A
+// fork shared between goroutines must be frozen before it is published
+// to them; Fork on a frozen fork then only reads it, so any number of
+// goroutines may fork it concurrently.
+func (s *COWStack) Freeze() { s.frozen = true }
+
+// Fork freezes s (unless it already is) and returns a child fork: the
+// child shares every set with s (and s's ancestors) until it touches
+// it. Freezing is what makes prefix-sharing replays safe — a snapshot
+// with descendants can never drift under them.
 func (s *COWStack) Fork() *COWStack {
-	s.frozen = true
+	if !s.frozen {
+		s.Freeze()
+	}
 	c := &COWStack{
 		setShift:  s.setShift,
 		setMask:   s.setMask,

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -69,6 +70,61 @@ func TestCOWForkThenDivergeLeavesParentUntouched(t *testing.T) {
 			pp, pc := probe.Access(addr), ctl.Access(addr)
 			if pp != pc {
 				t.Fatalf("seed %d probe %d: parent snapshot drifted (pos %d vs %d)", seed, i, pp, pc)
+			}
+		}
+	}
+}
+
+// TestCOWConcurrentForksOfFrozenParent forks one frozen parent from
+// many goroutines at once and drives each child down its own stream:
+// every child must match a replica of the parent's history fed the same
+// stream. Under the race detector it also pins that Fork on a frozen
+// fork only reads it — the property the database's replay tree relies
+// on when several workers fork one published snapshot.
+func TestCOWConcurrentForksOfFrozenParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	base := MustNewLRUStack(16, 16)
+	for i := 0; i < 500; i++ {
+		base.Access(cowAddr(rng, 256))
+	}
+	control := base.Clone()
+	parent := base.ForkCOW()
+	for i := 0; i < 700; i++ {
+		addr := cowAddr(rng, 256)
+		parent.Access(addr)
+		control.Access(addr)
+	}
+	parent.Freeze()
+
+	const workers = 8
+	streams := make([][]uint64, workers)
+	for g := range streams {
+		for i := 0; i < 1000; i++ {
+			streams[g] = append(streams[g], cowAddr(rng, 256))
+		}
+	}
+	got := make([][]int, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			child := parent.Fork()
+			for _, addr := range streams[g] {
+				got[g] = append(got[g], child.Access(addr))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for g, stream := range streams {
+		ctl := control.Clone()
+		for i, addr := range stream {
+			if want := ctl.Access(addr); got[g][i] != want {
+				t.Fatalf("child %d access %d: pos %d, replica %d", g, i, got[g][i], want)
 			}
 		}
 	}

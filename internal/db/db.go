@@ -212,6 +212,9 @@ func (pp *phasePrep) prepare(p trace.Params, opts Options) error {
 		pp.warm = atd.MustNew(0)
 		full.WarmATD(pp.warm, opts.Warmup)
 		pp.events = pp.tail.LLCEvents()
+		// The root is published to every shard of the phase by the
+		// sync.Once; like every node below it, it is frozen first.
+		pp.warm.Freeze()
 		pp.tree.state = pp.warm
 	})
 	return pp.err
@@ -324,11 +327,17 @@ func (pp *phasePrep) replay(perm []int32) *atd.ATD {
 // wait for the parent's state (parents are always ancestors of the
 // caller's insertion point, so waits cannot cycle), fork it, feed the
 // suffix captured at insertion, and publish. Returns the state.
+//
+// The state is frozen before close(ready) publishes it. Several workers
+// may fork one published node at once (siblings inserted under it), and
+// forking a frozen state only reads it; were the first Fork to freeze
+// it, those workers would race on the flag.
 func (pp *phasePrep) materialize(node, parent *replayNode, suffix []int32) *atd.ATD {
 	if parent.ready != nil {
 		<-parent.ready
 	}
 	st := pp.feed(parent.state.Fork(), suffix)
+	st.Freeze()
 	node.state = st
 	close(node.ready)
 	return st

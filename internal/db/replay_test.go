@@ -1,6 +1,7 @@
 package db
 
 import (
+	"sync"
 	"testing"
 
 	"qosrm/internal/atd"
@@ -87,6 +88,58 @@ func TestReplayTreeMatchesDirectReplay(t *testing.T) {
 	// The empty sequence is the warm state itself.
 	if prep.replay(nil) != prep.warm {
 		t.Fatal("empty delivery sequence must return the warm ATD")
+	}
+}
+
+// TestReplayConcurrentForksOfOnePublishedNode publishes one interior
+// replay-tree node and then has many goroutines insert sibling leaves
+// under it at once, so each forks that node's state concurrently — the
+// interleaving behind the build's former data race on the COW freeze
+// flag. Every returned ATD must equal a direct replay; under the race
+// detector the test also pins that forking a published node only reads
+// it.
+func TestReplayConcurrentForksOfOnePublishedNode(t *testing.T) {
+	prep := preparedPhase(t, "mcf")
+	n := len(prep.events)
+	k := n / 4
+	// divergeAt swaps event j into position k: the result shares the
+	// prefix [0,k) with the identity order and with every other such
+	// sequence, and differs from all of them at k.
+	divergeAt := func(j int) []int32 {
+		p := identityPerm(n)
+		p[k], p[j] = p[j], p[k]
+		return p
+	}
+	// Two sequential inserts split the first leaf's edge at k and
+	// publish the interior node holding the shared prefix's state.
+	prep.replay(identityPerm(n))
+	prep.replay(divergeAt(k + 1))
+
+	const workers = 8
+	perms := make([][]int32, workers)
+	for g := range perms {
+		perms[g] = divergeAt(k + 2 + g)
+	}
+	got := make([]*atd.ATD, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range perms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = prep.replay(perms[g])
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for g, perm := range perms {
+		want := refReplay(prep, perm)
+		if got[g].MissCurve() != want.MissCurve() || got[g].LMMatrix() != want.LMMatrix() ||
+			got[g].Accesses() != want.Accesses() {
+			t.Fatalf("sequence %d: concurrent replay diverges from the direct replay", g)
+		}
 	}
 }
 

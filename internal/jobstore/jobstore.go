@@ -18,7 +18,8 @@
 //	  payload  []byte   one JSON-encoded Event
 //
 // Appends are a single buffered write followed by an fsync, so a
-// record either lands completely or is a torn tail. Open scans the
+// record — or a batch of records appended together — either lands
+// completely or is a torn tail. Open scans the
 // file record by record and stops at the first frame that is short,
 // over-long or fails its checksum: everything before it replays,
 // everything from it on is truncated away (a torn final record is the
@@ -118,7 +119,8 @@ type LoadInfo struct {
 }
 
 // Journal is an open job journal. All methods are safe for concurrent
-// use; appends are serialised and individually fsynced.
+// use; appends are serialised and each append (one event or a batch) is
+// fsynced once.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
@@ -218,22 +220,35 @@ func (j *Journal) load() (*LoadInfo, error) {
 	return info, nil
 }
 
-// Append journals one event durably: the record is framed, written and
-// fsynced before Append returns. A failed or torn write is rolled back
-// by truncating to the previous record boundary; if even the rollback
-// fails the journal latches broken and every later Append errors.
+// Append journals one event durably; it is AppendBatch of one event.
 func (j *Journal) Append(ev Event) error {
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("jobstore: append: %w", err)
+	return j.AppendBatch([]Event{ev})
+}
+
+// AppendBatch journals events durably as one unit: every record is
+// framed, the frames are written back to back in one write, and a single
+// fsync covers them all before AppendBatch returns. A failed or torn
+// write is rolled back as a whole by truncating to the record boundary
+// before the batch, so a batch is either entirely durable or entirely
+// absent; if even the rollback fails the journal latches broken and
+// every later append errors. An empty batch is a no-op.
+func (j *Journal) AppendBatch(events []Event) error {
+	if len(events) == 0 {
+		return nil
 	}
-	if len(payload) > maxRecord {
-		return fmt.Errorf("jobstore: append: record of %d bytes exceeds limit", len(payload))
+	var buf []byte
+	for i := range events {
+		payload, err := json.Marshal(&events[i])
+		if err != nil {
+			return fmt.Errorf("jobstore: append: %w", err)
+		}
+		if len(payload) > maxRecord {
+			return fmt.Errorf("jobstore: append: record of %d bytes exceeds limit", len(payload))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint64(buf, dbstore.Checksum(payload))
+		buf = append(buf, payload...)
 	}
-	frame := make([]byte, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[4:12], dbstore.Checksum(payload))
-	copy(frame[frameSize:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -243,17 +258,17 @@ func (j *Journal) Append(ev Event) error {
 	if err := faultinject.Eval("jobstore.append"); err != nil {
 		// Emulate the torn write a crash mid-append leaves behind, then
 		// recover exactly as a real partial write would.
-		j.f.Write(frame[:len(frame)/2])
+		j.f.Write(buf[:len(buf)/2])
 		return j.rollback(err)
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return j.rollback(err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return j.rollback(err)
 	}
-	j.off += int64(len(frame))
-	j.records++
+	j.off += int64(len(buf))
+	j.records += len(events)
 	return nil
 }
 

@@ -213,6 +213,51 @@ func TestAppendFailpointRollsBack(t *testing.T) {
 	}
 }
 
+// TestAppendBatch: a batch appends as consecutive records that replay
+// in order, and a torn batch rolls back as a whole — none of its
+// records survive, the journal stays appendable, and nothing is left
+// torn on disk.
+func TestAppendBatch(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	path := filepath.Join(t.TempDir(), "jobs.jnl")
+	j, _ := openT(t, path)
+	want := testEvents()
+	if err := j.AppendBatch(want[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendBatch(nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	size := j.Size()
+
+	if err := faultinject.Enable("jobstore.append", "error*1"); err != nil {
+		t.Fatal(err)
+	}
+	torn := []Event{{Type: EventExpire, Job: "x1"}, {Type: EventExpire, Job: "x2"}, {Type: EventExpire, Job: "x3"}}
+	if err := j.AppendBatch(torn); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("armed batch append returned %v", err)
+	}
+	if j.Size() != size || j.Records() != 2 {
+		t.Fatalf("torn batch left size %d (want %d), %d records (want 2)", j.Size(), size, j.Records())
+	}
+	if err := j.AppendBatch(want[2:]); err != nil {
+		t.Fatalf("append after rollback: %v", err)
+	}
+	if j.Records() != len(want) {
+		t.Fatalf("records %d, want %d", j.Records(), len(want))
+	}
+	j.Close()
+
+	_, info := openT(t, path)
+	if info.TruncatedBytes != 0 {
+		t.Fatalf("rollback left %d torn bytes on disk", info.TruncatedBytes)
+	}
+	if !reflect.DeepEqual(info.Events, want) {
+		t.Fatalf("replayed events differ:\n got %+v\nwant %+v", info.Events, want)
+	}
+}
+
 func TestCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jnl")
 	j, _ := openT(t, path)

@@ -148,6 +148,17 @@ func Run(short bool) (*Report, error) {
 		Stats: perfmodel.FromDB(base, config.Baseline()),
 		Model: perfmodel.Model3,
 	}
+	// A second measured interval (povray's) whose curve differs from
+	// mcf's: the RM invocation fixtures alternate core 0 between the two.
+	povBase, err := fixture.Stats("povray", 0, config.Baseline())
+	if err != nil {
+		return nil, err
+	}
+	invKeys := [2]any{base, povBase}
+	invPreds := [2]*rm.ModelPredictor{pred, {
+		Stats: perfmodel.FromDB(povBase, config.Baseline()),
+		Model: perfmodel.Model3,
+	}}
 	const cores = 8
 	refCurves := make([]*rm.Curve, cores)
 	for i := range refCurves {
@@ -288,9 +299,14 @@ func Run(short bool) (*Report, error) {
 
 	// The per-interval RM invocation path of the co-simulator: one
 	// core's curve refresh plus the global redistribution across eight
-	// cores. The optimized path hits the curve cache and reuses the
-	// reduction workspace; the reference recomputes and reallocates, as
-	// the seed simulator did at every interval boundary.
+	// cores. Core 0's interval alternates between two distinct curves,
+	// so every invocation changes one curve as an interval boundary
+	// does; with an unchanged curve set the incremental reduction would
+	// touch only the root and the entry would stop measuring it. The
+	// optimized path hits the curve cache and recombines the path above
+	// core 0 in the reused workspace; the reference recomputes and
+	// reallocates everything, as the seed simulator did at every
+	// interval boundary.
 	add("RMInvocation", func(b *testing.B) {
 		var cache rm.CurveCache
 		var ws rm.Workspace
@@ -298,7 +314,8 @@ func Run(short bool) (*Report, error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cv := cache.Get(base, func() rm.Curve { return rm.Localize(pred, rm.RM3, rm.Options{}) })
+			p := invPreds[i&1]
+			cv := cache.Get(invKeys[i&1], func() rm.Curve { return rm.Localize(p, rm.RM3, rm.Options{}) })
 			refCurves[0] = cv
 			if !ws.Optimize(refCurves, config.TotalWays(cores), out) {
 				b.Fatal("infeasible")
@@ -308,7 +325,7 @@ func Run(short bool) (*Report, error) {
 	add("RMInvocationReference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cv := rm.Localize(pred, rm.RM3, rm.Options{})
+			cv := rm.Localize(invPreds[i&1], rm.RM3, rm.Options{})
 			refCurves[0] = &cv
 			if _, ok := rm.GlobalOptimizeReference(refCurves, config.TotalWays(cores)); !ok {
 				b.Fatal("infeasible")

@@ -20,10 +20,11 @@ import (
 //
 // The reduction is the paper's polynomial-complexity scheme: combining
 // two curves of length L costs O(L²) and the recursion performs n-1
-// combines for n cores. This entry point allocates a fresh workspace
-// per call; the per-interval hot path in the co-simulator reuses one
-// Workspace across calls instead (see Workspace.Optimize), which is the
-// same computation without the allocations.
+// combines for n cores. This entry point runs one call on a fresh
+// workspace, so every combine is performed; the per-interval hot path
+// in the co-simulator reuses one Workspace across calls instead (see
+// Workspace.Optimize), which recombines only what changed since its
+// previous call.
 func GlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting, bool) {
 	if len(curves) == 0 {
 		return nil, false
@@ -37,13 +38,30 @@ func GlobalOptimize(curves []*Curve, totalWays int) ([]config.Setting, bool) {
 }
 
 // Workspace holds the reduction tree of the global optimisation as a
-// reusable arena: node energies, split tables and the tree structure
-// are allocated once per core count and overwritten on every call, so
-// the per-interval invocations of the co-simulator run allocation-free.
-// A Workspace is not safe for concurrent use; its zero value is ready.
+// reusable, incrementally updated arena. Node energies, split tables and
+// the tree structure are allocated once per core count; every later call
+// with the same core count runs allocation-free and reuses the previous
+// call's reduced curves wherever its inputs did not change.
+//
+// The incremental contract: a leaf is dirty when its curve's energies
+// differ bit for bit (math.Float64bits) from the ones the previous call
+// saw — curve identity is irrelevant, so a bit-identical curve at a new
+// address is clean and a curve mutated in place is dirty. An inner node
+// is recombined only when one of its children is dirty. The root is
+// evaluated at the requested total alone, since backtracking reads
+// nothing else there. A call therefore costs O(n·L) to compare the
+// leaves, O(L²) per dirty non-root inner node (at most the ⌈log₂ n⌉−1
+// nodes on the path above each changed core, none when nothing changed)
+// and O(n·L) at the root, against O(n·L²) for a full reduction. The
+// chosen settings are identical to GlobalOptimizeReference's in every
+// case. A Workspace is not safe for concurrent use; its zero value is
+// ready.
 type Workspace struct {
-	n     int
-	nodes []wsNode
+	n int
+	// primed reports that every node holds the reduction of the previous
+	// call's curves; it is cleared whenever the tree is rebuilt.
+	primed bool
+	nodes  []wsNode
 }
 
 // wsNode is one aggregate of the reduction tree: a reduced energy curve
@@ -56,13 +74,18 @@ type wsNode struct {
 	// split[i] is, for total allocation minW+i, the number of ways given
 	// to the left child group (inner nodes only).
 	split []int
+	// dirty marks a node whose energy changed in the current call.
+	dirty bool
 }
 
 // Optimize is GlobalOptimize into a caller-provided result slice (len ≥
-// len(curves)), reusing the workspace's reduction tree. The computation
-// — combine order, iteration order, tie-breaking — replicates
-// GlobalOptimizeReference exactly, so the chosen settings are identical
-// to the seed implementation's (enforced by TestWorkspaceMatchesReference).
+// len(curves)), reusing and incrementally updating the workspace's
+// reduction tree (see Workspace for the contract and per-call cost). The
+// computation of every entry it evaluates — combine order, iteration
+// order, tie-breaking — replicates GlobalOptimizeReference exactly, so
+// the chosen settings are identical to the seed implementation's
+// (enforced by TestWorkspaceMatchesReference and
+// TestWorkspaceIncrementalMatchesReference).
 func (ws *Workspace) Optimize(curves []*Curve, totalWays int, out []config.Setting) bool {
 	n := len(curves)
 	if n == 0 {
@@ -73,19 +96,34 @@ func (ws *Workspace) Optimize(curves []*Curve, totalWays int, out []config.Setti
 	}
 	ws.ensure(n)
 
-	// Evaluate the tree bottom-up; nodes are stored in post order, so
-	// children always precede their parents.
-	for i := range ws.nodes {
+	// Refresh every node below the root bottom-up; nodes are stored in
+	// post order, so children always precede their parents.
+	root := len(ws.nodes) - 1
+	for i := range ws.nodes[:root] {
 		nd := &ws.nodes[i]
 		if nd.left < 0 {
-			copy(nd.energy, curves[nd.lo].Energy[:])
+			nd.dirty = nd.load(curves[nd.lo]) || !ws.primed
 			continue
 		}
-		combineInto(nd, &ws.nodes[nd.left], &ws.nodes[nd.right])
+		nd.dirty = ws.nodes[nd.left].dirty || ws.nodes[nd.right].dirty
+		if nd.dirty {
+			combineInto(nd, &ws.nodes[nd.left], &ws.nodes[nd.right])
+		}
 	}
-	root := len(ws.nodes) - 1
-	idx := totalWays - ws.nodes[root].minW
-	if idx < 0 || idx >= len(ws.nodes[root].energy) || math.IsInf(ws.nodes[root].energy[idx], 1) {
+	ws.primed = true
+
+	rt := &ws.nodes[root]
+	idx := totalWays - rt.minW
+	if rt.left < 0 {
+		// A single core is its own root: it takes every way.
+		if math.IsInf(curves[0].Energy[idx], 1) {
+			return false
+		}
+		out[0] = curves[0].Pick[idx]
+		return true
+	}
+	combineAt(rt, &ws.nodes[rt.left], &ws.nodes[rt.right], idx)
+	if math.IsInf(rt.energy[idx], 1) {
 		return false
 	}
 	ws.assign(root, totalWays, curves, out)
@@ -99,6 +137,7 @@ func (ws *Workspace) ensure(n int) {
 		return
 	}
 	ws.n = n
+	ws.primed = false
 	ws.nodes = ws.nodes[:0]
 	var build func(lo, hi int) int
 	build = func(lo, hi int) int {
@@ -129,29 +168,62 @@ func (ws *Workspace) ensure(n int) {
 	build(0, n)
 }
 
+// load copies the curve's energies into the leaf and reports whether any
+// of them differed bit for bit from the leaf's previous contents.
+func (nd *wsNode) load(cv *Curve) bool {
+	changed := false
+	for i, e := range cv.Energy[:len(nd.energy)] {
+		if math.Float64bits(e) != math.Float64bits(nd.energy[i]) {
+			nd.energy[i] = e
+			changed = true
+		}
+	}
+	return changed
+}
+
 // combineInto merges two group curves: E(W) = min over wl+wr=W of
 // El(wl)+Er(wr), with the seed's tie-breaking (strictly-smaller wins, so
-// the smallest feasible left allocation is kept on ties).
+// the smallest feasible left allocation is kept on ties). An infeasible
+// right entry needs no test: +Inf + x is never below the running
+// minimum, so it can never win.
 func combineInto(a, l, r *wsNode) {
 	for i := range a.energy {
 		a.energy[i] = math.Inf(1)
 		a.split[i] = -1
 	}
+	re := r.energy
 	for li, le := range l.energy {
 		if math.IsInf(le, 1) {
 			continue
 		}
-		for ri, re := range r.energy {
-			if math.IsInf(re, 1) {
-				continue
-			}
-			i := li + ri
-			if e := le + re; e < a.energy[i] {
-				a.energy[i] = e
-				a.split[i] = l.minW + li
+		// The outputs li..li+len(re)-1 this row can reach.
+		dst := a.energy[li : li+len(re)]
+		split := a.split[li : li+len(re)]
+		sw := l.minW + li
+		for ri, e := range re {
+			if v := le + e; v < dst[ri] {
+				dst[ri] = v
+				split[ri] = sw
 			}
 		}
 	}
+}
+
+// combineAt evaluates combineInto's merge at output index i alone,
+// visiting the same candidates in the same (ascending left) order, so
+// a.energy[i] and a.split[i] come out identical.
+func combineAt(a, l, r *wsNode, i int) {
+	best, split := math.Inf(1), -1
+	for li := max(0, i-len(r.energy)+1); li < len(l.energy) && li <= i; li++ {
+		le := l.energy[li]
+		if math.IsInf(le, 1) {
+			continue
+		}
+		if v := le + r.energy[i-li]; v < best {
+			best, split = v, l.minW+li
+		}
+	}
+	a.energy[i], a.split[i] = best, split
 }
 
 // assign walks the reduction tree distributing the granted total.

@@ -66,9 +66,10 @@ func NewPolicy(name string) (Policy, error) {
 }
 
 // optimalPolicy is the paper's optimal pairwise curve reduction behind
-// the Policy interface, reusing one Workspace arena across invocations —
-// the same allocation-free path the co-simulator ran before the policy
-// layer existed (bit-identical, pinned by TestPoliciesMatchDirectCalls).
+// the Policy interface, reusing one Workspace arena across invocations,
+// so each invocation recombines only the tree paths above the cores
+// whose curves changed since the previous one (bit-identical to a
+// direct Workspace.Optimize call, pinned by TestPoliciesMatchDirectCalls).
 type optimalPolicy struct {
 	ws Workspace
 }

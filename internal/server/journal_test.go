@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -487,6 +489,72 @@ func TestJournalCompactionOnTTLExpiry(t *testing.T) {
 		if j == nil || j.status().State != JobDone {
 			t.Fatalf("job %s lost across compaction + restart", id)
 		}
+	}
+}
+
+// TestTTLExpiryBatchReplaysLiveSet: one GC pass expiring several jobs
+// journals them as a single batch append, and a restart replays the log
+// to exactly the live set the server held after the pass. Compaction is
+// failed on purpose so the batch itself, not a rewritten log, is what
+// the restart replays.
+func TestTTLExpiryBatchReplaysLiveSet(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	path := filepath.Join(t.TempDir(), "jobs.jnl")
+	srv, _ := newTestServer(t, Options{Workers: 1, JournalPath: path, JobTTL: time.Hour, clock: clock.now})
+
+	const old = 4
+	for i := 0; i < old; i++ {
+		j, _, err := srv.submit([]scenario.Spec{testSpec(fmt.Sprintf("batch-old-%d", i))}, fmt.Sprintf("batch-key-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJobDone(t, srv, j.id)
+	}
+	clock.advance(2 * time.Hour)
+	young, _, err := srv.submit([]scenario.Spec{testSpec("batch-young")}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobDone(t, srv, young.id)
+
+	if err := faultinject.Enable("jobstore.compact", "error*1"); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.journal.Records()
+	if n := srv.gcFinishedJobs(clock.now()); n != old {
+		t.Fatalf("expired %d jobs, want %d", n, old)
+	}
+	if got := srv.journal.Records(); got != before+old {
+		t.Fatalf("journal holds %d records after the pass, want %d (+%d expiries)", got, before+old, old)
+	}
+	if srv.metrics.journalCompacts.Load() != 0 {
+		t.Fatal("compaction ran despite the armed failpoint")
+	}
+	live := func(s *Server) []string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var ids []string
+		for id := range s.jobs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		return ids
+	}
+	want := live(srv)
+	if !reflect.DeepEqual(want, []string{young.id}) {
+		t.Fatalf("live set after the pass %v, want [%s]", want, young.id)
+	}
+	srv.Close()
+
+	srv2, err := New(sharedDB(t), Options{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := live(srv2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart replayed live set %v, want %v", got, want)
 	}
 }
 

@@ -479,15 +479,15 @@ func (s *Server) gcLoop() {
 // gcFinishedJobs drops jobs that finished more than JobTTL before now
 // and reports how many it expired. Unfinished jobs are never touched:
 // a job still queued or running stays queryable however old it is.
-// With a journal, each expiry is journaled and the journal is then
-// compacted to the surviving live set, so the log's size tracks the
-// live jobs instead of the server's full history.
+// With a journal, the pass's expiries are journaled as one batch and
+// the journal is then compacted to the surviving live set, so the log's
+// size tracks the live jobs instead of the server's full history.
 func (s *Server) gcFinishedJobs(now time.Time) int {
 	ttl := s.opts.JobTTL
 	if ttl <= 0 {
 		return 0
 	}
-	expired := 0
+	var expiries []jobstore.Event
 	s.mu.Lock()
 	// Forwarded-key records age out on the same clock as local jobs;
 	// the origin node's own TTL GC owns the job itself.
@@ -508,15 +508,18 @@ func (s *Server) gcFinishedJobs(now time.Time) int {
 			// unfinished from the journal and then expired, gets an
 			// explicit "expired" instead of a silent hang.
 			j.events.Close(obs.Terminal{Kind: obs.TerminalExpired})
-			expired++
-			if s.journal != nil {
-				if err := s.journal.Append(jobstore.Event{Type: jobstore.EventExpire, Job: id}); err != nil {
-					s.metrics.journalErrors.Add(1)
-				}
-			}
+			expiries = append(expiries, jobstore.Event{Type: jobstore.EventExpire, Job: id})
+		}
+	}
+	// The whole pass is journaled as one batch: one fsync under the
+	// server lock instead of one per expired job.
+	if s.journal != nil {
+		if err := s.journal.AppendBatch(expiries); err != nil {
+			s.metrics.journalErrors.Add(1)
 		}
 	}
 	s.mu.Unlock()
+	expired := len(expiries)
 	if expired > 0 {
 		s.metrics.jobsExpired.Add(int64(expired))
 		s.compactJournal()

@@ -11,8 +11,8 @@
 // rm.GlobalOptimizeReference. They share only the passive per-core
 // interval machinery (advance, finishInterval, startInterval,
 // applySetting, chargeRMOverhead, refreshCurve), which the refactor did
-// not touch; the event loops, RM invocation wiring and optimizer call
-// sites are frozen here.
+// not touch; the event loops and RM invocation wiring are frozen here,
+// and their global reduction is the seed's rm.GlobalOptimizeReference.
 //
 // Nothing outside the tests calls into this file.
 package sim
@@ -30,15 +30,15 @@ import (
 	"qosrm/internal/db"
 )
 
-// refState is the seed engines' per-run working set: the curve memo,
-// the global reduction workspace and the assembly slices, exactly as
-// runState looked before the policy layer replaced the direct
-// Workspace.Optimize / GreedyGlobalOptimize call sites.
+// refState is the seed engines' per-run working set: the curve memo and
+// the curve assembly slice. The global reduction is the seed's own
+// rm.GlobalOptimizeReference rather than the engine's reused (and
+// incrementally updated) rm.Workspace, so the equivalence tests also pin
+// the optimised reduction against the seed over real co-simulation
+// invocation sequences.
 type refState struct {
 	cache      rm.CurveCache
-	ws         rm.Workspace
 	curves     []*rm.Curve
-	settings   []config.Setting
 	pinnedBase *rm.Curve
 }
 
@@ -82,7 +82,6 @@ func runStaticReference(d *db.DB, apps []*bench.Benchmark, cfg Config) (*Result,
 	res := &Result{}
 	st := &refState{
 		curves:     make([]*rm.Curve, n),
-		settings:   make([]config.Setting, n),
 		pinnedBase: pinnedBaseline(),
 	}
 	now := 0.0
@@ -203,8 +202,7 @@ func invokeRMStaticRef(d *db.DB, cfg Config, cores []*core, inv, totalWays int, 
 	if cfg.GreedyGlobal {
 		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
 	} else {
-		settings = st.settings
-		ok = st.ws.Optimize(curves, totalWays, settings)
+		settings, ok = rm.GlobalOptimizeReference(curves, totalWays)
 	}
 	if !ok {
 		return nil
@@ -248,7 +246,6 @@ func runDynamicReference(d *db.DB, dyn Dynamic, cfg Config) (*DynamicResult, err
 	res := &DynamicResult{}
 	st := &refState{
 		curves:     make([]*rm.Curve, n),
-		settings:   make([]config.Setting, n),
 		pinnedBase: pinnedBaseline(),
 	}
 	now := 0.0
@@ -498,8 +495,7 @@ func invokeRMDynamicRef(d *db.DB, cfg *Config, cores []*dynCore, inv, totalWays 
 	if cfg.GreedyGlobal {
 		settings, ok = rm.GreedyGlobalOptimize(curves, totalWays)
 	} else {
-		settings = st.settings
-		ok = st.ws.Optimize(curves, totalWays, settings)
+		settings, ok = rm.GlobalOptimizeReference(curves, totalWays)
 	}
 	if !ok {
 		return nil
